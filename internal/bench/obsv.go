@@ -61,10 +61,15 @@ func instrumentedRing(n int, prm tcanet.Params) (*sim.Engine, *tcanet.SubCluster
 }
 
 // flagTarget allocates an 8-byte flag in dst's host memory and returns its
-// local bus address and global address.
+// local bus address and global address. It zero-fills the flag, so the
+// sparse RAM allocates the flag's page during set-up and not inside a
+// measured run (the perf gates count a run's heap allocations).
 func flagTarget(sc *tcanet.SubCluster, dst int) (pcie.Addr, pcie.Addr) {
 	buf, err := sc.Node(dst).AllocDMABuffer(8)
 	if err != nil {
+		panic(err)
+	}
+	if err := sc.Node(dst).WriteLocal(buf, make([]byte, 8)); err != nil {
 		panic(err)
 	}
 	g, err := sc.GlobalHostAddr(dst, buf)

@@ -50,7 +50,7 @@ func (t *TagTable) Alloc(want units.ByteSize, done func(data []byte)) (tag uint8
 	}
 	tag = t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
-	t.pending[tag] = &pendingRead{want: want, done: done}
+	t.pending[tag] = &pendingRead{want: want, buf: make([]byte, 0, want), done: done}
 	return tag, true
 }
 

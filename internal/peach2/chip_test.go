@@ -2,6 +2,7 @@ package peach2
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"tca/internal/pcie"
@@ -304,6 +305,25 @@ func TestNIOSMonitoring(t *testing.T) {
 	f.eng.RunFor(10 * units.Microsecond)
 	if f.chip.NIOS().Status().Scans != after {
 		t.Fatal("NIOS kept scanning after Stop")
+	}
+}
+
+// TestNIOSLogDropsOldest: the management log keeps the newest 256 entries,
+// oldest first.
+func TestNIOSLogDropsOldest(t *testing.T) {
+	f := newChipFixture(t)
+	n := f.chip.NIOS()
+	for i := 0; i < 300; i++ {
+		n.logEvent(fmt.Sprintf("event %d", i))
+	}
+	ev := n.Events()
+	if len(ev) != 256 || n.Status().Events != 256 {
+		t.Fatalf("log holds %d (status %d), want 256", len(ev), n.Status().Events)
+	}
+	for i, e := range ev {
+		if want := fmt.Sprintf("event %d", 300-256+i); e.What != want {
+			t.Fatalf("entry %d = %q, want %q", i, e.What, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"tca/internal/fifo"
 	"tca/internal/sim"
 	"tca/internal/units"
 )
@@ -21,7 +22,7 @@ type NIOS struct {
 	interval  units.Duration
 	scans     uint64
 	lastUp    [4]bool
-	events    []Event
+	events    fifo.Queue[Event]
 	maxEvents int
 
 	// onDeadLink fires when a port's data-link layer declares its cable
@@ -122,11 +123,10 @@ func linkWord(up bool) string {
 }
 
 func (n *NIOS) logEvent(what string) {
-	if len(n.events) >= n.maxEvents {
-		copy(n.events, n.events[1:])
-		n.events = n.events[:len(n.events)-1]
+	if n.events.Len() >= n.maxEvents {
+		n.events.Pop()
 	}
-	n.events = append(n.events, Event{At: n.chip.eng.Now(), What: what})
+	n.events.Push(Event{At: n.chip.eng.Now(), What: what})
 }
 
 // Status samples the chip — the management "GetStatus" command.
@@ -138,13 +138,19 @@ func (n *NIOS) Status() Status {
 	}
 	s.Forwarded = n.chip.forwarded
 	s.DMAChains = n.chip.dmac.chains
-	s.Events = len(n.events)
+	s.Events = n.events.Len()
 	s.Failovers = n.failovers
 	return s
 }
 
 // Events returns a copy of the management log.
-func (n *NIOS) Events() []Event { return append([]Event(nil), n.events...) }
+func (n *NIOS) Events() []Event {
+	var out []Event
+	for i := 0; i < n.events.Len(); i++ {
+		out = append(out, n.events.At(i))
+	}
+	return out
+}
 
 // statusWord packs link state into the RegStatus register image.
 func (n *NIOS) statusWord() uint64 {
@@ -185,7 +191,7 @@ func (n *NIOS) Execute(cmd string) (string, error) {
 			st.Converted, st.AcksSent, st.AcksRecv, st.DMAChains, st.DMATLPs), nil
 	case "log":
 		var sb strings.Builder
-		for _, e := range n.events {
+		for _, e := range n.Events() {
 			fmt.Fprintf(&sb, "[%v] %s\n", e.At, e.What)
 		}
 		return sb.String(), nil
