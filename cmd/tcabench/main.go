@@ -17,9 +17,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"tca/internal/bench"
 	"tca/internal/obsv"
@@ -27,11 +28,6 @@ import (
 	"tca/internal/tcanet"
 	"tca/internal/units"
 )
-
-// durToSim converts a wall-clock flag value into simulated time.
-func durToSim(d time.Duration) units.Duration {
-	return units.Duration(d.Nanoseconds()) * units.Nanosecond
-}
 
 func main() {
 	os.Exit(run())
@@ -82,21 +78,12 @@ func run() int {
 
 	prm := tcanet.DefaultParams
 	if *cable > 0 {
-		prm.CableProp = durToSim(*cable)
+		prm.CableProp = units.Duration(cable.Nanoseconds()) * units.Nanosecond
 	}
 
 	if *benchOut != "" {
-		f, err := os.Create(*benchOut)
-		if err != nil {
+		if err := writeFile(*benchOut, bench.CollectBaseline(tcanet.DefaultParams).WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		werr := bench.CollectBaseline(tcanet.DefaultParams).WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
 			return 1
 		}
 		fmt.Printf("baseline written: %s\n", *benchOut)
@@ -104,17 +91,8 @@ func run() int {
 	}
 
 	if *perfOut != "" {
-		f, err := os.Create(*perfOut)
-		if err != nil {
+		if err := writeFile(*perfOut, bench.CollectPerfBaseline(tcanet.DefaultParams).WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
-			return 1
-		}
-		werr := bench.CollectPerfBaseline(tcanet.DefaultParams).WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
 			return 1
 		}
 		fmt.Printf("perf baseline written: %s\n", *perfOut)
@@ -127,11 +105,7 @@ func run() int {
 			names = bench.PerfScenarioNames
 		}
 		for i, name := range names {
-			known := false
-			for _, n := range bench.PerfScenarioNames {
-				known = known || n == name
-			}
-			if !known {
+			if !slices.Contains(bench.PerfScenarioNames, name) {
 				fmt.Fprintf(os.Stderr, "tcabench: unknown -prof scenario %q (have %s, all)\n",
 					name, strings.Join(bench.PerfScenarioNames, ", "))
 				return 2
@@ -152,22 +126,20 @@ func run() int {
 	if *perfetto != "" {
 		// Run profiled so the trace carries the engine's cumulative
 		// host-time counter track next to the fabric telemetry.
-		res := bench.TelemetryForwardProfiled(tcanet.DefaultParams, 4, 0, 2, 4096, 64, units.Microsecond,
-			prof.New(prof.Options{}))
-		f, err := os.Create(*perfetto)
+		w := bench.Chain{Nodes: 4, Src: 0, Dst: 2, Size: 4096, Count: 64, Chains: 1}
+		r, err := w.Run(tcanet.DefaultParams, bench.Attach{Set: obsv.NewSet(bench.SpanCap),
+			Prof: prof.New(prof.Options{}), Sample: units.Microsecond})
+		if err == nil {
+			err = writeFile(*perfetto, func(f io.Writer) error {
+				return obsv.WritePerfetto(f, r.Set.Recorder().Events(), r.Set.Sampler().Timeline())
+			})
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
-		werr := obsv.WritePerfetto(f, res.Set.Recorder().Events(), res.Timeline)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcabench:", werr)
-			return 1
-		}
-		fmt.Printf("scenario: %s\nperfetto trace: %s (open in ui.perfetto.dev)\n", res.Scenario, *perfetto)
+		fmt.Printf("scenario: forward DMA %d×%v node0->node2 (4-node ring), sampled every %v\nperfetto trace: %s (open in ui.perfetto.dev)\n",
+			w.Count, w.Size, units.Microsecond, *perfetto)
 		return 0
 	}
 
@@ -191,11 +163,13 @@ func run() int {
 	}
 
 	if *faultStr != "" {
-		res, err := bench.TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, *faultStr, *seed)
+		w := bench.PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 10}
+		r, err := w.Run(tcanet.DefaultParams, bench.Attach{Set: obsv.NewSet(bench.SpanCap), Fault: *faultStr, Seed: *seed})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcabench:", err)
 			return 1
 		}
+		res := r.Trace(fmt.Sprintf("fault ping-pong node0<->node2 ×%d (4-node ring, %s, seed %d)", w.Rounds, *faultStr, *seed))
 		fmt.Printf("scenario: %s\nend-to-end: %v\nspans: %d (all payloads verified byte-identical)\n\nmetrics:\n",
 			res.Scenario, res.EndToEnd, len(res.Spans))
 		res.Snapshot.WriteTable(os.Stdout)
@@ -230,12 +204,10 @@ func run() int {
 
 	failed := 0
 	for i, e := range selected {
-		var tab *bench.Table
-		if *parallel {
-			tab = tables[i]
-		} else {
-			tab = e.Run(prm)
+		if !*parallel {
+			tables = append(tables, e.Run(prm))
 		}
+		tab := tables[i]
 		if *csv {
 			if err := tab.CSV(os.Stdout); err != nil {
 				fmt.Fprintf(os.Stderr, "tcabench: %s: rendering: %v\n", e.ID, err)
@@ -259,4 +231,17 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

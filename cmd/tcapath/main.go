@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"tca/internal/bench"
+	"tca/internal/obsv"
 	"tca/internal/obsv/critpath"
 	"tca/internal/tcanet"
 	"tca/internal/units"
@@ -43,34 +44,32 @@ func run() int {
 	flag.Parse()
 
 	prm := tcanet.DefaultParams
-	var fleet *critpath.Fleet
-	var model []critpath.ModelDiff
+	var w bench.Workload
+	var label string
 	switch *scenario {
 	case "pingpong":
-		if *nodes < 2 || *nodes > 16 {
-			fmt.Fprintln(os.Stderr, "tcapath: -nodes must be in [2, 16]")
-			return 2
-		}
-		if *src == *dst || *src < 0 || *dst < 0 || *src >= *nodes || *dst >= *nodes {
-			fmt.Fprintln(os.Stderr, "tcapath: need distinct -src/-dst inside the ring")
-			return 2
-		}
-		if *rounds < 1 {
-			fmt.Fprintln(os.Stderr, "tcapath: -rounds must be positive")
-			return 2
-		}
-		fleet = bench.FleetPingPong(prm, *nodes, *src, *dst, *rounds)
-		m := bench.PingPongModel(prm)
-		model = m.CompareFleet(fleet, bench.RingForwardHops(*nodes, *src, *dst))
+		w = bench.PingPong{Nodes: *nodes, Src: *src, Dst: *dst, Rounds: *rounds}
+		label = fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring, %d rounds)", *src, *dst, *nodes, *rounds)
 	case "chain-dma":
-		if *count < 1 || *chains < 1 || *size < 1 {
-			fmt.Fprintln(os.Stderr, "tcapath: -size, -count and -chains must be positive")
-			return 2
-		}
-		fleet = bench.FleetDMAChains(prm, units.ByteSize(*size), *count, *chains)
+		w = bench.Chain{Nodes: 2, Src: 0, Dst: 1, Size: units.ByteSize(*size), Count: *count, Chains: *chains}
+		label = fmt.Sprintf("chain-DMA %d×(%d×%v) node0->node1", *chains, *count, units.ByteSize(*size))
 	default:
 		fmt.Fprintf(os.Stderr, "tcapath: unknown scenario %q\n", *scenario)
 		return 2
+	}
+	if err := w.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tcapath:", err)
+		return 2
+	}
+	r, err := w.Run(prm, bench.Attach{Set: obsv.NewSet(bench.SpanCap)})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcapath:", err)
+		return 1
+	}
+	fleet := r.Fleet(label)
+	var model []critpath.ModelDiff
+	if *scenario == "pingpong" {
+		model = bench.PingPongModel(prm).CompareFleet(fleet, bench.RingForwardHops(*nodes, *src, *dst))
 	}
 
 	if fleet.Evicted > 0 {

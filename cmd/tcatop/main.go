@@ -22,6 +22,10 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		scenario = flag.String("scenario", "forward", "scenario: forward | pingpong")
 		nodes    = flag.Int("nodes", 4, "ring size")
@@ -37,35 +41,40 @@ func main() {
 	)
 	flag.Parse()
 
-	if *nodes < 2 || *nodes > 16 {
-		fmt.Fprintln(os.Stderr, "tcatop: -nodes must be in [2, 16]")
-		os.Exit(2)
-	}
-	if *src == *dst || *src < 0 || *dst < 0 || *src >= *nodes || *dst >= *nodes {
-		fmt.Fprintln(os.Stderr, "tcatop: need distinct -src/-dst inside the ring")
-		os.Exit(2)
-	}
 	if *interval <= 0 {
 		fmt.Fprintln(os.Stderr, "tcatop: -interval must be positive")
-		os.Exit(2)
+		return 2
 	}
 	iv := units.Duration(*interval * float64(units.Microsecond))
 
-	prm := tcanet.DefaultParams
+	var w bench.Workload
+	var label string
+	switch *scenario {
+	case "forward":
+		sz := units.ByteSize(*size)
+		w = bench.Chain{Nodes: *nodes, Src: *src, Dst: *dst, Size: sz, Count: *count, Chains: 1}
+		label = fmt.Sprintf("forward DMA %d×%v node%d->node%d (%d-node ring), sampled every %v", *count, sz, *src, *dst, *nodes, iv)
+	case "pingpong":
+		w = bench.PingPong{Nodes: *nodes, Src: *src, Dst: *dst, Rounds: *rounds}
+		label = fmt.Sprintf("PIO ping-pong ×%d node%d<->node%d (%d-node ring), sampled every %v", *rounds, *src, *dst, *nodes, iv)
+	default:
+		fmt.Fprintf(os.Stderr, "tcatop: unknown scenario %q\n", *scenario)
+		return 2
+	}
+	if err := w.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tcatop:", err)
+		return 2
+	}
 	var p *prof.Profiler
 	if *profile {
 		p = prof.New(prof.Options{})
 	}
-	var res *bench.TelemetryResult
-	switch *scenario {
-	case "forward":
-		res = bench.TelemetryForwardProfiled(prm, *nodes, *src, *dst, units.ByteSize(*size), *count, iv, p)
-	case "pingpong":
-		res = bench.TelemetryPingPongProfiled(prm, *nodes, *src, *dst, *rounds, iv, p)
-	default:
-		fmt.Fprintf(os.Stderr, "tcatop: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+	r, err := w.Run(tcanet.DefaultParams, bench.Attach{Set: obsv.NewSet(bench.SpanCap), Prof: p, Sample: iv})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcatop:", err)
+		return 1
 	}
+	res := r.Telemetry(label)
 
 	fmt.Printf("scenario: %s\n", res.Scenario)
 	if res.Moved > 0 {
@@ -85,9 +94,10 @@ func main() {
 	}
 	res.Report.WriteReport(os.Stdout)
 
-	if res.Prof != nil {
+	if p != nil {
 		fmt.Println()
-		fmt.Println(res.Stats.Headline())
-		res.Prof.WriteTable(os.Stdout, *top)
+		fmt.Println(r.Stats.Headline())
+		p.WriteTable(os.Stdout, *top)
 	}
+	return 0
 }

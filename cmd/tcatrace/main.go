@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -84,6 +85,10 @@ func traceJSON(tr *bench.TraceResult) jsonTrace {
 }
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
 	var (
 		scenario = flag.String("scenario", "pingpong", "scenario: pingpong | forward | dma")
 		nodes    = flag.Int("nodes", 4, "ring size (pingpong/forward)")
@@ -102,48 +107,50 @@ func main() {
 	)
 	flag.Parse()
 
-	if *nodes < 2 || *nodes > 16 {
-		fmt.Fprintln(os.Stderr, "tcatrace: -nodes must be in [2, 16]")
-		os.Exit(2)
-	}
-	if *src == *dst || *src < 0 || *dst < 0 || *src >= *nodes || *dst >= *nodes {
-		fmt.Fprintln(os.Stderr, "tcatrace: need distinct -src/-dst inside the ring")
-		os.Exit(2)
-	}
 	switch *metrics {
 	case "table", "json", "prom", "none":
 	default:
 		fmt.Fprintf(os.Stderr, "tcatrace: unknown metrics format %q\n", *metrics)
-		os.Exit(2)
+		return 2
 	}
 
 	if *faultStr != "" && *scenario != "pingpong" {
 		fmt.Fprintf(os.Stderr, "tcatrace: -fault is only supported for -scenario pingpong (got %q)\n", *scenario)
-		os.Exit(2)
+		return 2
 	}
 
-	prm := tcanet.DefaultParams
-	var tr *bench.TraceResult
+	var w bench.Workload
+	var label string
 	switch *scenario {
 	case "pingpong":
+		w = bench.PingPong{Nodes: *nodes, Src: *src, Dst: *dst, Rounds: 1}
+		label = fmt.Sprintf("ping-pong node%d<->node%d (%d-node ring)", *src, *dst, *nodes)
 		if *faultStr != "" {
-			var err error
-			tr, err = bench.TracePingPongFault(prm, *nodes, *src, *dst, *rounds, *faultStr, *seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcatrace:", err)
-				os.Exit(1)
-			}
-			break
+			w = bench.PingPong{Nodes: *nodes, Src: *src, Dst: *dst, Rounds: *rounds}
+			label = fmt.Sprintf("fault ping-pong node%d<->node%d ×%d (%d-node ring, %s, seed %d)",
+				*src, *dst, *rounds, *nodes, *faultStr, *seed)
 		}
-		tr = bench.TracePingPong(prm, *nodes, *src, *dst)
 	case "forward":
-		tr = bench.TraceForward(prm, *nodes, *src, *dst)
+		w = bench.Forward{Nodes: *nodes, Src: *src, Dst: *dst, Stores: 1}
+		label = fmt.Sprintf("forward node%d->node%d (%d-node ring)", *src, *dst, *nodes)
 	case "dma":
-		tr = bench.TraceDMA(prm, units.ByteSize(*size), *count)
+		sz := units.ByteSize(*size)
+		w = bench.Chain{Nodes: 2, Src: 0, Dst: 1, Size: sz, Count: *count, Chains: 1, Stride: 2 * sz}
+		label = fmt.Sprintf("block-stride DMA %d×%v (stride %v) node0->node1", *count, sz, 2*sz)
 	default:
 		fmt.Fprintf(os.Stderr, "tcatrace: unknown scenario %q\n", *scenario)
-		os.Exit(2)
+		return 2
 	}
+	if err := w.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "tcatrace:", err)
+		return 2
+	}
+	r, err := w.Run(tcanet.DefaultParams, bench.Attach{Set: obsv.NewSet(bench.SpanCap), Fault: *faultStr, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcatrace:", err)
+		return 1
+	}
+	tr := r.Trace(label)
 
 	if evicted := tr.Set.Recorder().Evicted(); evicted > 0 {
 		fmt.Fprintf(os.Stderr, "tcatrace: WARNING: span ring evicted %d events — breakdowns may be truncated\n", evicted)
@@ -154,9 +161,9 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(traceJSON(tr)); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	fmt.Printf("scenario: %s\n\n", tr.Scenario)
@@ -185,24 +192,19 @@ func main() {
 	fmt.Printf("end-to-end: %v\n", tr.EndToEnd)
 
 	if *perfetto != "" {
-		f, err := os.Create(*perfetto)
+		var buf bytes.Buffer
+		err := obsv.WritePerfetto(&buf, tr.Set.Recorder().Events(), nil)
+		if err == nil {
+			err = os.WriteFile(*perfetto, buf.Bytes(), 0o666)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
-		}
-		werr := obsv.WritePerfetto(f, tr.Set.Recorder().Events(), nil)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "tcatrace:", werr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("perfetto trace: %s (open in ui.perfetto.dev)\n", *perfetto)
 	}
 
 	switch *metrics {
-	case "none":
 	case "table":
 		fmt.Println("\nmetrics:")
 		tr.Snapshot.WriteTable(os.Stdout)
@@ -210,10 +212,11 @@ func main() {
 		fmt.Println()
 		if err := tr.Snapshot.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "tcatrace:", err)
-			os.Exit(1)
+			return 1
 		}
 	case "prom":
 		fmt.Println()
 		tr.Snapshot.WritePrometheus(os.Stdout)
 	}
+	return 0
 }

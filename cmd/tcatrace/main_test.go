@@ -1,0 +1,35 @@
+package main
+
+import (
+	"flag"
+	"os"
+	"testing"
+)
+
+// Bad workload flags exit 2 with a one-line error, never a panic.
+func TestBadFlagsExitTwo(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, args := range [][]string{
+		{"-scenario", "dma", "-count", "0"},
+		{"-scenario", "dma", "-count", "100000"},
+		{"-scenario", "dma", "-size", "0"},
+		{"-fault", "linkdown:1e:12us", "-rounds", "0"},
+		{"-nodes", "17"},
+		{"-src", "1", "-dst", "1"},
+		{"-scenario", "nope"},
+	} {
+		os.Args = append([]string{"tcatrace"}, args...)
+		flag.CommandLine = flag.NewFlagSet("tcatrace", flag.ContinueOnError)
+		code := func() int {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%v: panic: %v", args, p)
+				}
+			}()
+			return run()
+		}()
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+}

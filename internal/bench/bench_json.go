@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"tca/internal/core"
+	"tca/internal/obsv"
 	"tca/internal/obsv/critpath"
 	"tca/internal/tcanet"
 	"tca/internal/units"
@@ -50,7 +51,11 @@ type BenchBaseline struct {
 func CollectBaseline(prm tcanet.Params) BenchBaseline {
 	round := func(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
 	hop := MeasurePIOLatency(prm, 4, 0, 2).Nanoseconds() - MeasurePIOLatency(prm, 4, 0, 1).Nanoseconds()
-	fleet := FleetPingPong(prm, 4, 0, 2, 4)
+	r, err := PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 4}.Run(prm, Attach{Set: obsv.NewSet(SpanCap)})
+	if err != nil {
+		panic(err)
+	}
+	fleet := r.Fleet("")
 	legs := units.Duration(len(fleet.Budgets))
 	meanNS := func(b critpath.Bucket) float64 {
 		return round((fleet.Totals[b] / legs).Nanoseconds())

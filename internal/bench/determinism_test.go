@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"tca/internal/tcanet"
 )
 
 // TestTraceDeterminism runs each traced scenario twice on fresh engines and
@@ -17,37 +15,29 @@ import (
 func TestTraceDeterminism(t *testing.T) {
 	scenarios := []struct {
 		name string
-		run  func() *TraceResult
+		run  func(t *testing.T) *TraceResult
 	}{
-		{"ping-pong", func() *TraceResult {
-			return TracePingPong(tcanet.DefaultParams, 4, 0, 2)
+		{"ping-pong", func(t *testing.T) *TraceResult {
+			return traced(t, PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 1}, Attach{}).Trace("ping-pong")
 		}},
-		{"forward-chain", func() *TraceResult {
-			return TraceForward(tcanet.DefaultParams, 8, 1, 5)
+		{"forward-chain", func(t *testing.T) *TraceResult {
+			return traced(t, Forward{Nodes: 8, Src: 1, Dst: 5, Stores: 1}, Attach{}).Trace("forward")
 		}},
 		// Fault scenarios must be just as reproducible: the injector's rand
 		// stream is seeded and consumed only at schedule-determined points,
 		// so a mid-run link cut, DLL replays, and a live failover replay
 		// byte-identically — the acceptance criterion for `-fault`.
-		{"fault-linkdown-failover", func() *TraceResult {
-			res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, "linkdown:1e:12us", 7)
-			if err != nil {
-				panic(err)
-			}
-			return res
+		{"fault-linkdown-failover", func(t *testing.T) *TraceResult {
+			return traced(t, PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 10}, Attach{Fault: "linkdown:1e:12us", Seed: 7}).Trace("fault")
 		}},
-		{"fault-lossy-cable", func() *TraceResult {
-			res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 1, 6, "corrupt:0.2,drop:0.05", 42)
-			if err != nil {
-				panic(err)
-			}
-			return res
+		{"fault-lossy-cable", func(t *testing.T) *TraceResult {
+			return traced(t, PingPong{Nodes: 4, Src: 0, Dst: 1, Rounds: 6}, Attach{Fault: "corrupt:0.2,drop:0.05", Seed: 42}).Trace("fault")
 		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			first := serializeTrace(t, sc.run())
-			second := serializeTrace(t, sc.run())
+			first := serializeTrace(t, sc.run(t))
+			second := serializeTrace(t, sc.run(t))
 			if !bytes.Equal(first, second) {
 				t.Errorf("two runs of %s produced different transcripts:\n--- run 1 ---\n%s\n--- run 2 ---\n%s",
 					sc.name, firstDiff(first, second), firstDiff(second, first))

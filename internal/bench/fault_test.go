@@ -17,10 +17,7 @@ import (
 // payloads via the rerouted path, and the injector's counters prove the
 // cut, the replays, and the failover actually happened.
 func TestFaultPingPongLiveFailover(t *testing.T) {
-	res, err := TracePingPongFault(tcanet.DefaultParams, 4, 0, 2, 10, "linkdown:1e:12us", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := traced(t, PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 10}, Attach{Fault: "linkdown:1e:12us", Seed: 7}).Trace("fault")
 	for _, c := range []struct {
 		name string
 		min  uint64

@@ -21,7 +21,7 @@ func TestTraceForwardSelfConsistency(t *testing.T) {
 		{"2hop", 4, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := TraceForward(prm, tc.n, tc.src, tc.dst)
+			tr := traced(t, Forward{Nodes: tc.n, Src: tc.src, Dst: tc.dst, Stores: 1}, Attach{}).Trace(tc.name)
 			if len(tr.Spans) != 1 {
 				t.Fatalf("spans = %d, want 1", len(tr.Spans))
 			}
@@ -48,7 +48,7 @@ func TestTraceForwardSelfConsistency(t *testing.T) {
 
 // The two ping-pong legs' hop sums must add up to the round trip.
 func TestTracePingPongLegsSumToRoundTrip(t *testing.T) {
-	tr := TracePingPong(tcanet.DefaultParams, 4, 0, 2)
+	tr := traced(t, PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 1}, Attach{}).Trace("ping-pong")
 	if len(tr.Spans) != 2 {
 		t.Fatalf("spans = %d, want 2 (ping+pong)", len(tr.Spans))
 	}
@@ -64,7 +64,7 @@ func TestTracePingPongLegsSumToRoundTrip(t *testing.T) {
 // A traced DMA chain's span runs doorbell → chain-done and stays within the
 // driver-observed completion time.
 func TestTraceDMASpan(t *testing.T) {
-	tr := TraceDMA(tcanet.DefaultParams, 4096, 8)
+	tr := traced(t, Chain{Nodes: 2, Src: 0, Dst: 1, Size: 4096, Count: 8, Chains: 1, Stride: 8192}, Attach{}).Trace("dma")
 	if len(tr.Spans) != 1 {
 		t.Fatalf("spans = %d, want 1", len(tr.Spans))
 	}
@@ -109,8 +109,7 @@ func TestTraceDMASpan(t *testing.T) {
 // east-route ports: chip0 N-in/E-out, chip1 W-in/E-out, chip2 W-in/N-out,
 // and nothing on chip3 — the port-counter acceptance criterion.
 func TestForwardPortCounters(t *testing.T) {
-	tr := TraceForward(tcanet.DefaultParams, 4, 0, 2)
-	snap := tr.Snapshot
+	snap := traced(t, Forward{Nodes: 4, Src: 0, Dst: 2, Stores: 1}, Attach{}).Snapshot()
 	port := func(v string) obsv.Label { return obsv.Label{Key: "port", Value: v} }
 	expect := map[string]map[string]uint64{
 		"peach2-0": {"in:N": 1, "out:E": 1},
@@ -152,8 +151,12 @@ func TestSnapshotDuringParallelRuns(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr := TraceForward(prm, 4, 0, 2)
-				if snap := tr.Set.Registry().Snapshot(0); len(snap.Counters) == 0 {
+				r, err := Forward{Nodes: 4, Src: 0, Dst: 2, Stores: 1}.Run(prm, Attach{Set: obsv.NewSet(SpanCap)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if snap := r.Set.Registry().Snapshot(0); len(snap.Counters) == 0 {
 					t.Error("empty snapshot from instrumented rig")
 					return
 				}

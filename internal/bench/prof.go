@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"tca/internal/pcie"
 	"tca/internal/prof"
-	"tca/internal/sim"
 	"tca/internal/tcanet"
 )
 
@@ -37,7 +35,9 @@ func RunPerfScenario(name string, prm tcanet.Params, p *prof.Profiler) prof.RunS
 	case "pingpong":
 		return PerfPingPong(prm, perfPingPongRounds, p)
 	case "forward":
-		return PerfForward(prm, perfForwardStores, p)
+		// Node 0 to node 4 of an 8-node ring: every store pays the full
+		// multi-hop forwarding path.
+		return perfRun(Forward{Nodes: 8, Src: 0, Dst: 4, Stores: perfForwardStores}, prm, p)
 	case "chain_dma":
 		return PerfChainDMA(prm, perfChainDescs, p)
 	default:
@@ -45,67 +45,21 @@ func RunPerfScenario(name string, prm tcanet.Params, p *prof.Profiler) prof.RunS
 	}
 }
 
-// PerfPingPong drives rounds full round trips over a 2-node ring: node 0
-// stores a flag into node 1's host memory, node 1's poll answers with a
-// store back, and node 0's poll launches the next round. The poll loops
-// themselves pace the run, so the event stream exercises the store, link,
-// switch, chip-forward, and poll paths on every leg.
+// PerfPingPong drives rounds full round trips over a bare 2-node ring
+// (PingPong between nodes 0 and 1) and returns the run's statistics. The
+// poll loops themselves pace the run, so the event stream exercises the
+// store, link, switch, chip-forward, and poll paths on every leg.
 func PerfPingPong(prm tcanet.Params, rounds int, p *prof.Profiler) prof.RunStats {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, 2, prm)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	sc.Profile(p)
-	dstBuf, dstG := flagTarget(sc, 1)
-	srcBuf, srcG := flagTarget(sc, 0)
-	ping := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	pong := []byte{2, 0, 0, 0, 0, 0, 0, 0}
-	left := rounds
-	sc.Node(1).Poll(pcie.Range{Base: dstBuf, Size: 8}, func(sim.Time) {
-		sc.Node(1).Store(srcG, pong)
-	})
-	sc.Node(0).Poll(pcie.Range{Base: srcBuf, Size: 8}, func(sim.Time) {
-		if left--; left > 0 {
-			sc.Node(0).Store(dstG, ping)
-		}
-	})
-	st := p.Measure("pingpong", eng, func() {
-		sc.Node(0).Store(dstG, ping)
-		eng.Run()
-	})
-	if left != 0 {
-		panic(fmt.Sprintf("bench: pingpong stalled with %d rounds left", left))
-	}
-	return st
+	return perfRun(PingPong{Nodes: 2, Src: 0, Dst: 1, Rounds: rounds}, prm, p)
 }
 
-// PerfForward streams count sequential PIO stores from node 0 to node 4 of
-// an 8-node ring; each store launches when the destination's poll observes
-// the previous one, so every store pays the full multi-hop forwarding path.
-func PerfForward(prm tcanet.Params, count int, p *prof.Profiler) prof.RunStats {
-	eng := sim.NewEngine()
-	sc, err := tcanet.BuildRing(eng, 8, prm)
+// perfRun runs a fixed perf workload under p.
+func perfRun(w Workload, prm tcanet.Params, p *prof.Profiler) prof.RunStats {
+	r, err := w.Run(prm, Attach{Prof: p})
 	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
+		panic(err)
 	}
-	sc.Profile(p)
-	buf, g := flagTarget(sc, 4)
-	flag := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	left := count
-	sc.Node(4).Poll(pcie.Range{Base: buf, Size: 8}, func(sim.Time) {
-		if left--; left > 0 {
-			sc.Node(0).Store(g, flag)
-		}
-	})
-	st := p.Measure("forward", eng, func() {
-		sc.Node(0).Store(g, flag)
-		eng.Run()
-	})
-	if left != 0 {
-		panic(fmt.Sprintf("bench: forward stalled with %d stores left", left))
-	}
-	return st
+	return r.Stats
 }
 
 // PerfChainDMA runs one remote chained-DMA write (count descriptors of

@@ -1,18 +1,11 @@
 package bench
 
 import (
-	"fmt"
-
-	"tca/internal/core"
 	"tca/internal/obsv"
-	"tca/internal/pcie"
-	"tca/internal/prof"
-	"tca/internal/sim"
-	"tca/internal/tcanet"
 	"tca/internal/units"
 )
 
-// TelemetryResult is one sampled scenario's outcome: the time-series
+// TelemetryResult is the telemetry view of a sampled run: the time-series
 // timeline, the metrics snapshot at completion, and the bottleneck
 // attribution derived from both.
 type TelemetryResult struct {
@@ -21,137 +14,27 @@ type TelemetryResult struct {
 	Timeline *obsv.Timeline
 	Snapshot *obsv.Snapshot
 	Report   *obsv.Report
-	// Elapsed is the scenario's end-to-end sim time; Moved is the payload
-	// it carried (0 for latency-only scenarios).
+	// Elapsed is the run's end-to-end sim time; Moved is the payload it
+	// carried (0 for latency-only workloads).
 	Elapsed units.Duration
 	Moved   units.ByteSize
-	// Prof is the attached engine profiler and Stats its host-side run
-	// measurement when the scenario ran under TelemetryForwardProfiled /
-	// TelemetryPingPongProfiled (Prof nil otherwise).
-	Prof  *prof.Profiler
-	Stats prof.RunStats
 }
 
-// TelemetryForward streams a count-descriptor chain of size-byte remote DMA
-// writes from node src's internal memory into node dst's host memory across
-// an n-node ring, sampling the fabric every interval. A long chain keeps
-// the egress ring link busy back-to-back, so this is the canonical
-// link-bound scenario: attribution names the saturated link while the
-// destination chip's DMAC sits idle (the Fig. 10 forwarding setup driven at
-// full rate).
-func TelemetryForward(prm tcanet.Params, n, src, dst int, size units.ByteSize, count int, interval units.Duration) *TelemetryResult {
-	return TelemetryForwardProfiled(prm, n, src, dst, size, count, interval, nil)
-}
-
-// TelemetryForwardProfiled is TelemetryForward with an engine profiler
-// attached: host time attributes per component, and the profiler's
-// cumulative host-time series lands on the same timeline as the fabric
-// telemetry — so Perfetto exports of the result carry a host_time counter
-// track next to the utilization tracks. A nil profiler degrades to the
-// plain scenario.
-func TelemetryForwardProfiled(prm tcanet.Params, n, src, dst int, size units.ByteSize, count int, interval units.Duration, p *prof.Profiler) *TelemetryResult {
-	eng, sc, set := instrumentedRing(n, prm)
-	sc.Profile(p)
-	set.Sampler().SetComp(p.Component("obsv/sampler"))
-	p.RecordHostSeries(set.Sampler().Timeline(), hostSeriesCap)
-	comm, err := core.NewComm(sc)
-	if err != nil {
-		panic(err)
-	}
-	if err := sc.Chip(src).InternalMemory().Write(0, make([]byte, size)); err != nil {
-		panic(err)
-	}
-	total := units.ByteSize(uint64(size) * uint64(count))
-	buf, err := sc.Node(dst).AllocDMABuffer(total)
-	if err != nil {
-		panic(err)
-	}
-	g, err := sc.GlobalHostAddr(dst, buf)
-	if err != nil {
-		panic(err)
-	}
-	var doneAt sim.Time
-	if err := comm.StartChain(src, buildWriteChain(uint64(g), size, count), func(now sim.Time) { doneAt = now }); err != nil {
-		panic(err)
-	}
-	sc.StartTelemetry(interval)
-	st := p.Measure("telemetry-forward", eng, func() { eng.Run() })
-	if doneAt == 0 {
-		panic("bench: telemetry forward chain never completed")
-	}
-	tl := set.Sampler().Timeline()
-	snap := set.Registry().Snapshot(eng.Now())
+// Telemetry is the telemetry view of a run made with a sampling interval
+// attached. A long chain keeps the egress ring link busy back-to-back, so
+// attribution names the saturated link (link-bound); a ping-pong keeps one
+// 8-byte store in flight at a time, so every resource idles
+// (underutilized).
+func (r *Run) Telemetry(scenario string) *TelemetryResult {
+	tl := r.Set.Sampler().Timeline()
+	snap := r.Snapshot()
 	return &TelemetryResult{
-		Scenario: fmt.Sprintf("forward DMA %d×%v node%d->node%d (%d-node ring), sampled every %v", count, size, src, dst, n, interval),
-		Set:      set,
+		Scenario: scenario,
+		Set:      r.Set,
 		Timeline: tl,
 		Snapshot: snap,
 		Report:   obsv.Attribute(snap, tl),
-		Elapsed:  doneAt.Elapsed(),
-		Moved:    total,
-		Prof:     p,
-		Stats:    st,
+		Elapsed:  r.End.Elapsed(),
+		Moved:    r.Moved,
 	}
 }
-
-// TelemetryPingPong runs rounds of the §IV-B1 PIO flag ping-pong between
-// src and dst on an n-node ring under sampling. Ping-pong is latency-bound
-// with one 8-byte store in flight at a time, so every resource idles —
-// attribution's "underutilized" verdict, the contrast case to
-// TelemetryForward.
-func TelemetryPingPong(prm tcanet.Params, n, src, dst, rounds int, interval units.Duration) *TelemetryResult {
-	return TelemetryPingPongProfiled(prm, n, src, dst, rounds, interval, nil)
-}
-
-// TelemetryPingPongProfiled is TelemetryPingPong with an engine profiler
-// attached (see TelemetryForwardProfiled). A nil profiler degrades to the
-// plain scenario.
-func TelemetryPingPongProfiled(prm tcanet.Params, n, src, dst, rounds int, interval units.Duration, p *prof.Profiler) *TelemetryResult {
-	if rounds < 1 {
-		panic("bench: telemetry ping-pong needs at least one round")
-	}
-	eng, sc, set := instrumentedRing(n, prm)
-	sc.Profile(p)
-	set.Sampler().SetComp(p.Component("obsv/sampler"))
-	p.RecordHostSeries(set.Sampler().Timeline(), hostSeriesCap)
-	srcBuf, srcG := flagTarget(sc, src)
-	dstBuf, dstG := flagTarget(sc, dst)
-	ping := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	pong := []byte{2, 0, 0, 0, 0, 0, 0, 0}
-	var lastAt sim.Time
-	done := 0
-	sc.Node(dst).Poll(pcie.Range{Base: dstBuf, Size: 8}, func(now sim.Time) {
-		sc.Node(dst).Store(srcG, pong)
-	})
-	sc.Node(src).Poll(pcie.Range{Base: srcBuf, Size: 8}, func(now sim.Time) {
-		lastAt = now
-		done++
-		if done < rounds {
-			sc.Node(src).Store(dstG, ping)
-		}
-	})
-	sc.StartTelemetry(interval)
-	st := p.Measure("telemetry-pingpong", eng, func() {
-		sc.Node(src).Store(dstG, ping)
-		eng.Run()
-	})
-	if done != rounds {
-		panic(fmt.Sprintf("bench: %d/%d ping-pong rounds completed", done, rounds))
-	}
-	tl := set.Sampler().Timeline()
-	snap := set.Registry().Snapshot(eng.Now())
-	return &TelemetryResult{
-		Scenario: fmt.Sprintf("PIO ping-pong ×%d node%d<->node%d (%d-node ring), sampled every %v", rounds, src, dst, n, interval),
-		Set:      set,
-		Timeline: tl,
-		Snapshot: snap,
-		Report:   obsv.Attribute(snap, tl),
-		Elapsed:  lastAt.Elapsed(),
-		Prof:     p,
-		Stats:    st,
-	}
-}
-
-// hostSeriesCap bounds the profiler's cumulative host-time series; one
-// point lands per timed sample, so the ring must hold a scenario's worth.
-const hostSeriesCap = 8192

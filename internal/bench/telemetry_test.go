@@ -17,7 +17,7 @@ import (
 // — a 255×4 KiB chain node0→node2 across a 4-node ring — and checks that
 // attribution names the source chip's egress ring link as saturated.
 func TestTelemetryForwardAttribution(t *testing.T) {
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, 4096, 255, units.Microsecond)
+	res := traced(t, Chain{Nodes: 4, Src: 0, Dst: 2, Size: 4096, Count: 255, Chains: 1}, Attach{Sample: units.Microsecond}).Telemetry("forward")
 	rep := res.Report
 	if rep == nil || rep.Primary.Verdict != obsv.VerdictLinkBound {
 		t.Fatalf("verdict = %+v, want link-bound", rep)
@@ -50,7 +50,7 @@ func TestTelemetryForwardAttribution(t *testing.T) {
 // TestTelemetryPingPongUnderutilized checks the contrast case: one 8-byte
 // flag in flight at a time saturates nothing.
 func TestTelemetryPingPongUnderutilized(t *testing.T) {
-	res := TelemetryPingPong(tcanet.DefaultParams, 4, 0, 2, 20, units.Microsecond)
+	res := traced(t, PingPong{Nodes: 4, Src: 0, Dst: 2, Rounds: 20}, Attach{Sample: units.Microsecond}).Telemetry("ping-pong")
 	if v := res.Report.Primary.Verdict; v != obsv.VerdictUnderutilized {
 		t.Fatalf("verdict = %v, want underutilized", v)
 	}
@@ -64,7 +64,7 @@ func TestTelemetryPingPongUnderutilized(t *testing.T) {
 // traceEvents array with duration slices for the DMA span, counter samples
 // for the telemetry series, and nothing malformed.
 func TestForwardPerfettoTraceValid(t *testing.T) {
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, 4096, 16, units.Microsecond)
+	res := traced(t, Chain{Nodes: 4, Src: 0, Dst: 2, Size: 4096, Count: 16, Chains: 1}, Attach{Sample: units.Microsecond}).Telemetry("forward")
 	var buf bytes.Buffer
 	if err := obsv.WritePerfetto(&buf, res.Set.Recorder().Events(), res.Timeline); err != nil {
 		t.Fatal(err)
@@ -108,10 +108,12 @@ func TestForwardPerfettoTraceValid(t *testing.T) {
 
 // TestTelemetryDoesNotPerturbTiming reruns the forward scenario with no
 // instrumentation and no sampler and requires the identical completion
-// time — probes observe, they never reserve.
+// time — probes observe, they never reserve. The bare run is driven by
+// hand rather than through the Chain workload, so it also checks that
+// driver against an independent setup.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 	const size, count = 4096, 64
-	res := TelemetryForward(tcanet.DefaultParams, 4, 0, 2, size, count, units.Microsecond)
+	res := traced(t, Chain{Nodes: 4, Src: 0, Dst: 2, Size: size, Count: count, Chains: 1}, Attach{Sample: units.Microsecond}).Telemetry("forward")
 
 	eng := sim.NewEngine()
 	sc, err := tcanet.BuildRing(eng, 4, tcanet.DefaultParams)

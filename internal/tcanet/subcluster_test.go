@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tca/internal/obsv"
 	"tca/internal/pcie"
 	"tca/internal/peach2"
 	"tca/internal/sim"
@@ -425,34 +426,25 @@ func TestNIOSOnLiveRing(t *testing.T) {
 	}
 }
 
-// TestChipTracerRecordsPath verifies the logic-analyzer hook the tcaring
-// tool builds on: a multi-hop packet leaves one trace event per chip.
-func TestChipTracerRecordsPath(t *testing.T) {
+// TestRouteEventsRecordPath checks the path a multi-hop store leaves in
+// the span recorder: one routing decision per chip on a 0→2 store across
+// four nodes (ring routes at peach2-0 and peach2-1, the Port-N conversion
+// at peach2-2) and nothing on peach2-3.
+func TestRouteEventsRecordPath(t *testing.T) {
 	eng, sc := buildRing(t, 4)
-	var events []string
-	for i := 0; i < 4; i++ {
-		name := sc.Chip(i).DevName()
-		sc.Chip(i).SetTracer(func(now sim.Time, what string) {
-			events = append(events, name+": "+what)
-		})
-	}
+	set := obsv.NewSet(1024)
+	sc.Instrument(set)
 	dst, _ := sc.GlobalHostAddr(2, 0x100)
-	sc.Node(0).Store(dst, []byte{1})
+	txn := sc.Node(0).StoreTxn(dst, []byte{1})
 	eng.Run()
-	if len(events) != 3 {
-		t.Fatalf("trace has %d events, want 3 (two forwards + one convert): %v", len(events), events)
+	var path []string
+	for _, ev := range set.Recorder().TxnEvents(txn) {
+		if ev.Stage == obsv.StageRoute || ev.Stage == obsv.StageConvert {
+			path = append(path, ev.Where+" "+ev.Stage.String())
+		}
 	}
-	if !strings.Contains(events[0], "peach2-0") || !strings.Contains(events[2], "peach2-2") ||
-		!strings.Contains(events[2], "convert") {
-		t.Fatalf("trace path wrong: %v", events)
-	}
-	// Disabling the tracer stops recording.
-	for i := 0; i < 4; i++ {
-		sc.Chip(i).SetTracer(nil)
-	}
-	sc.Node(0).Store(dst, []byte{2})
-	eng.Run()
-	if len(events) != 3 {
-		t.Fatal("tracer kept recording after being cleared")
+	want := []string{"peach2-0 route", "peach2-1 route", "peach2-2 convert"}
+	if strings.Join(path, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("routing path %v, want %v", path, want)
 	}
 }
