@@ -18,12 +18,13 @@
 //
 //   - the value must be consumed exactly once: released, returned, sent on
 //     a channel, or handed to a callee (ownership transfers through call
-//     arguments — Send, action constructors — are trusted);
+//     arguments — Send, action constructors — are trusted, but append and
+//     fifo.Queue.Push park the pointer and count as escapes);
 //   - no use of the variable may follow its Release in the same block;
 //   - Release must not run twice on the same binding;
-//   - the pointer must not be stored into a struct field, slice, map or
-//     package-level variable, or be captured by a function literal, unless
-//     Pin() detached it from the pool first.
+//   - the pointer must not be stored into a struct field, slice, map,
+//     fifo.Queue or package-level variable, or be captured by a function
+//     literal, unless Pin() detached it from the pool first.
 package poolsafety
 
 import (
@@ -56,8 +57,8 @@ Values drawn from an object pool (a Get method returning a pointer to a
 type whose doc comment carries //tca:pooled) are loans: each must reach
 exactly one Release or be handed off (call argument, return, channel
 send); no use may follow the Release; Release must not run twice; and the
-pointer must not escape into a field, slice, map, package variable or
-closure unless Pin() detached it from the pool first.`,
+pointer must not escape into a field, slice, map, fifo.Queue, package
+variable or closure unless Pin() detached it from the pool first.`,
 	Run:       run,
 	FactTypes: []framework.Fact{(*pooledFact)(nil)},
 }
@@ -225,17 +226,25 @@ func auditLoan(pass *framework.Pass, chains *framework.Chains, body *ast.BlockSt
 					return
 				}
 			}
-			// Handing the pointer to a callee transfers ownership.
+			// Handing the pointer to a callee transfers ownership, except
+			// into a slice or a queue, which may outlive the loan.
 			for _, arg := range e.Args {
-				if framework.RootVar(pass.TypesInfo, arg) == ln.v && after(arg.Pos(), ln.getPos) {
-					if isAppend(pass, e) {
-						ln.consume++
-						pass.Reportf(arg.Pos(),
-							"pooled %s %s appended to a slice that may outlive its release; Pin() it first",
-							typeName(pass, ln), name)
-					} else {
-						ln.consume++
-					}
+				if framework.RootVar(pass.TypesInfo, arg) != ln.v || !after(arg.Pos(), ln.getPos) {
+					continue
+				}
+				ln.consume++
+				if ln.pinned && ln.pinPos < e.Pos() {
+					continue
+				}
+				switch {
+				case isAppend(pass, e):
+					pass.Reportf(arg.Pos(),
+						"pooled %s %s appended to a slice that may outlive its release; Pin() it first",
+						typeName(pass, ln), name)
+				case framework.MethodOn(pass, e, "fifo", "Queue", "Push"):
+					pass.Reportf(arg.Pos(),
+						"pooled %s %s pushed onto a fifo.Queue that may outlive its release; Pin() it first",
+						typeName(pass, ln), name)
 				}
 			}
 		case *ast.ReturnStmt:

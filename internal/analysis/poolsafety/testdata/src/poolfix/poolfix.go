@@ -4,11 +4,15 @@
 // release branches).
 package poolfix
 
-import "pool"
+import (
+	"fifo"
+	"pool"
+)
 
 type ring struct {
 	parked *pool.Packet
 	buf    []*pool.Packet
+	q      fifo.Queue[*pool.Packet]
 }
 
 func send(t *pool.Packet)              {}
@@ -40,6 +44,11 @@ func escapeField(p *pool.Pool, r *ring) {
 func escapeAppend(p *pool.Pool, r *ring) {
 	t := p.Get()
 	r.buf = append(r.buf, t) // want `pooled Packet t appended to a slice`
+}
+
+func escapePush(p *pool.Pool, r *ring) {
+	t := p.Get()
+	r.q.Push(t) // want `pooled Packet t pushed onto a fifo.Queue`
 }
 
 func escapeClosure(p *pool.Pool, run func(func())) {
@@ -77,6 +86,12 @@ func okPinThenPark(p *pool.Pool, r *ring) {
 	t := p.Get()
 	t.Pin()
 	r.parked = t // ok: Pin detached it from the pool
+}
+
+func okPinThenPush(p *pool.Pool, r *ring) {
+	t := p.Get()
+	t.Pin()
+	r.q.Push(t) // ok: Pin detached it from the pool
 }
 
 func okEarlyReturnRelease(p *pool.Pool, lost bool) {

@@ -87,6 +87,19 @@ func srcOff(op int) units.ByteSize {
 	return units.ByteSize((scenariogen.MaxOps + op) * scenariogen.SlotBytes)
 }
 
+// regionLen is the byte span of op o's source and destination regions (0
+// for a barrier, which moves no data).
+func regionLen(o scenariogen.Op) int {
+	switch o.Kind {
+	case scenariogen.OpBarrier:
+		return 0
+	case scenariogen.OpStride:
+		return o.Stride*(o.Count-1) + o.BlockLen
+	default:
+		return o.Bytes
+	}
+}
+
 // fillBytes derives op i's payload pattern from the spec seed — plain
 // arithmetic, no shared RNG, so sources are reproducible anywhere.
 func fillBytes(seed int64, op, n int) []byte {
@@ -174,16 +187,16 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 	}
 
 	// Pre-fill every op's source slot so transfers move recognizable,
-	// per-op payloads.
+	// per-op payloads. Each pattern is generated once: it is also a PIO
+	// store's data and what checkEndToEnd expects at the destination.
+	fills := make([][]byte, len(spec.Ops))
 	for i, o := range spec.Ops {
+		fills[i] = fillBytes(spec.Seed, i, regionLen(o))
 		switch o.Kind {
-		case scenariogen.OpHostPut:
-			err = comm.WriteHost(hostBufs[o.Src], srcOff(i), fillBytes(spec.Seed, i, o.Bytes))
+		case scenariogen.OpHostPut, scenariogen.OpStride:
+			err = comm.WriteHost(hostBufs[o.Src], srcOff(i), fills[i])
 		case scenariogen.OpDMA:
-			err = comm.WriteGPU(gpuBufs[o.Src][o.SrcGPU], srcOff(i), fillBytes(spec.Seed, i, o.Bytes))
-		case scenariogen.OpStride:
-			span := o.Stride*(o.Count-1) + o.BlockLen
-			err = comm.WriteHost(hostBufs[o.Src], srcOff(i), fillBytes(spec.Seed, i, span))
+			err = comm.WriteGPU(gpuBufs[o.Src][o.SrcGPU], srcOff(i), fills[i])
 		}
 		if err != nil {
 			return nil, err
@@ -218,7 +231,7 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 					execErr = aerr
 					return
 				}
-				execErr = comm.PIOPut(o.Src, addr, fillBytes(spec.Seed, i, o.Bytes))
+				execErr = comm.PIOPut(o.Src, addr, fills[i])
 				continue
 			case scenariogen.OpHostPut:
 				execErr = comm.PutToHost(hostBufs[o.Dst], dstOff(i), o.Src,
@@ -289,11 +302,8 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 		var region []byte
 		var rerr error
 		switch o.Kind {
-		case scenariogen.OpPIO, scenariogen.OpHostPut:
-			region, rerr = comm.ReadHost(hostBufs[o.Dst], dstOff(i), units.ByteSize(o.Bytes))
-		case scenariogen.OpStride:
-			span := o.Stride*(o.Count-1) + o.BlockLen
-			region, rerr = comm.ReadHost(hostBufs[o.Dst], dstOff(i), units.ByteSize(span))
+		case scenariogen.OpPIO, scenariogen.OpHostPut, scenariogen.OpStride:
+			region, rerr = comm.ReadHost(hostBufs[o.Dst], dstOff(i), units.ByteSize(regionLen(o)))
 		case scenariogen.OpDMA:
 			region, rerr = comm.ReadGPU(gpuBufs[o.Dst][o.DstGPU], dstOff(i), units.ByteSize(o.Bytes))
 		case scenariogen.OpBarrier:
@@ -312,7 +322,7 @@ func Run(spec scenariogen.Spec, opt Options) (*Result, error) {
 	r.FullyRecovered = r.OpsDone == r.OpsWaited && len(r.ChainErrors) == 0 &&
 		r.Summary.HarmfulDrops == 0 && r.Summary.ParkedAtQuiesce == 0
 	if r.FullyRecovered {
-		r.checkEndToEnd()
+		r.checkEndToEnd(fills)
 	}
 	r.Transcript = r.transcript(inj)
 	if opt.KeepObs {
@@ -381,9 +391,9 @@ func (r *Result) auditFabric(sc *tcanet.SubCluster, set *obsv.Set, led *Ledger) 
 }
 
 // checkEndToEnd verifies payload integrity op by op: on a fully recovered
-// run every destination region must hold exactly the source pattern —
-// faults may change timing, never contents.
-func (r *Result) checkEndToEnd() {
+// run every destination region must hold exactly the source pattern
+// (fills[i] is op i's) — faults may change timing, never contents.
+func (r *Result) checkEndToEnd(fills [][]byte) {
 	off := 0
 	for i, o := range r.Spec.Ops {
 		var want []byte
@@ -391,14 +401,13 @@ func (r *Result) checkEndToEnd() {
 		case scenariogen.OpBarrier:
 			continue
 		case scenariogen.OpStride:
-			span := o.Stride*(o.Count-1) + o.BlockLen
-			src := fillBytes(r.Spec.Seed, i, span)
-			want = make([]byte, span)
+			src := fills[i]
+			want = make([]byte, len(src))
 			for k := 0; k < o.Count; k++ {
 				copy(want[k*o.Stride:k*o.Stride+o.BlockLen], src[k*o.Stride:k*o.Stride+o.BlockLen])
 			}
 		default:
-			want = fillBytes(r.Spec.Seed, i, o.Bytes)
+			want = fills[i]
 		}
 		got := r.FinalMem[off : off+len(want)]
 		off += len(want)

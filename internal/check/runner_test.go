@@ -223,3 +223,25 @@ func TestRunGeneratedCorpus(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkInstrumentedRun times one checked run of a fixed faulty spec:
+// ledger, metrics registry, span recorder and sampler probes attached, as
+// every fuzz and tcad job runs. With -benchmem it shows what an
+// instrumented job allocates.
+func BenchmarkInstrumentedRun(b *testing.B) {
+	spec := scenariogen.Spec{
+		Seed: 3, K: 4, Faults: "linkdown:0e:5us,ber:1e-07",
+		Ops: []scenariogen.Op{
+			{Kind: scenariogen.OpDMA, Src: 0, Dst: 1, Bytes: 65536},
+			{Kind: scenariogen.OpHostPut, Src: 1, Dst: 3, Bytes: 4096},
+			{Kind: scenariogen.OpPIO, Src: 2, Dst: 0, Bytes: 64},
+			{Kind: scenariogen.OpStride, Src: 3, Dst: 1, BlockLen: 256, Count: 4, Stride: 512},
+			{Kind: scenariogen.OpBarrier, Rounds: 2},
+		},
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(spec, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

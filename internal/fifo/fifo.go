@@ -1,6 +1,7 @@
 // Package fifo provides the one queue type behind every simulated hardware
-// queue: link credit backlogs, DLL replay buffers, the DMAC read queue, the
-// driver chain queue and the NIOS event log.
+// queue (link credit backlogs, DLL replay buffers, the DMAC read queue, the
+// driver chain queue, the NIOS event log) and behind the bounded rings of
+// the obsv span recorder and telemetry series.
 //
 // Queue is a growable ring: every operation is O(1), Push amortized, so a
 // backlog of n entries drains in O(n) host time whatever its depth.
@@ -22,6 +23,10 @@ const minCap = 4
 
 // Len reports the number of queued elements.
 func (q *Queue[T]) Len() int { return q.n }
+
+// Cap reports the capacity of the ring: 0 until the first Push, then the
+// power of two the queue has grown to.
+func (q *Queue[T]) Cap() int { return len(q.buf) }
 
 // Push appends v at the back of the queue.
 func (q *Queue[T]) Push(v T) {

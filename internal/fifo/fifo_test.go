@@ -25,11 +25,14 @@ func equal(a, b []int) bool {
 
 func TestZeroValueIsEmpty(t *testing.T) {
 	var q Queue[int]
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
+	if q.Len() != 0 || q.Cap() != 0 {
+		t.Fatalf("Len, Cap = %d, %d, want 0, 0", q.Len(), q.Cap())
 	}
 	q.Clear() // no-op on a queue that never allocated
 	q.Push(7)
+	if q.Cap() != minCap {
+		t.Fatalf("Cap after first Push = %d, want %d", q.Cap(), minCap)
+	}
 	if got := q.Pop(); got != 7 || q.Len() != 0 {
 		t.Fatalf("Pop = %d (len %d), want 7 (len 0)", got, q.Len())
 	}

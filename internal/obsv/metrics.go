@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -174,18 +175,19 @@ func (r *Registry) Counter(name, component string, labels ...Label) *Counter {
 		return nil
 	}
 	d := desc{name: name, component: component, labels: labels}
+	k := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[k]; ok {
 		c, ok := m.(*Counter)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", k))
 		}
 		return c
 	}
 	c := &Counter{desc: d}
-	r.byKey[d.key()] = c
-	r.order = append(r.order, d.key())
+	r.byKey[k] = c
+	r.order = append(r.order, k)
 	return c
 }
 
@@ -195,18 +197,19 @@ func (r *Registry) Gauge(name, component string, labels ...Label) *Gauge {
 		return nil
 	}
 	d := desc{name: name, component: component, labels: labels}
+	k := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[k]; ok {
 		g, ok := m.(*Gauge)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", k))
 		}
 		return g
 	}
 	g := &Gauge{desc: d}
-	r.byKey[d.key()] = g
-	r.order = append(r.order, d.key())
+	r.byKey[k] = g
+	r.order = append(r.order, k)
 	return g
 }
 
@@ -220,18 +223,19 @@ func (r *Registry) Histogram(name, component string, bounds []units.Duration, la
 		bounds = DefaultLatencyBounds
 	}
 	d := desc{name: name, component: component, labels: labels}
+	k := d.key()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[d.key()]; ok {
+	if m, ok := r.byKey[k]; ok {
 		h, ok := m.(*Histogram)
 		if !ok {
-			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", d.key()))
+			panic(fmt.Sprintf("obsv: metric %q re-registered with a different type", k))
 		}
 		return h
 	}
 	h := &Histogram{desc: d, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
-	r.byKey[d.key()] = h
-	r.order = append(r.order, d.key())
+	r.byKey[k] = h
+	r.order = append(r.order, k)
 	return h
 }
 
@@ -280,6 +284,10 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	}
 	r.mu.Lock()
 	keys := append([]string(nil), r.order...)
+	// Visiting metrics in key order leaves each of the snapshot's three
+	// lists sorted by its "name|component|k=v" key, the order every
+	// exporter prints.
+	sort.Strings(keys)
 	metrics := make([]any, len(keys))
 	for i, k := range keys {
 		metrics[i] = r.byKey[k]
@@ -312,36 +320,19 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 			s.Histograms = append(s.Histograms, hv)
 		}
 	}
-	sortSnapshot(s)
 	return s
 }
 
-func sortSnapshot(s *Snapshot) {
-	sort.Slice(s.Counters, func(i, j int) bool { return counterKey(s.Counters[i]) < counterKey(s.Counters[j]) })
-	sort.Slice(s.Gauges, func(i, j int) bool { return gaugeKey(s.Gauges[i]) < gaugeKey(s.Gauges[j]) })
-	sort.Slice(s.Histograms, func(i, j int) bool { return histKey(s.Histograms[i]) < histKey(s.Histograms[j]) })
+// sameID reports whether a frozen metric has the identity name, component,
+// labels, comparing field by field.
+func sameID(name, component string, labels []Label, wantName, wantComponent string, want []Label) bool {
+	return name == wantName && component == wantComponent && slices.Equal(labels, want)
 }
-
-func labelsKey(labels []Label) string {
-	var sb strings.Builder
-	for _, l := range labels {
-		sb.WriteByte('|')
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
-	}
-	return sb.String()
-}
-
-func counterKey(v CounterVal) string { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
-func gaugeKey(v GaugeVal) string     { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
-func histKey(v HistogramVal) string  { return v.Name + "|" + v.Component + labelsKey(v.Labels) }
 
 // Counter looks a frozen counter value up by identity.
 func (s *Snapshot) Counter(name, component string, labels ...Label) (uint64, bool) {
-	want := CounterVal{Name: name, Component: component, Labels: labels}
 	for _, c := range s.Counters {
-		if counterKey(c) == counterKey(want) {
+		if sameID(c.Name, c.Component, c.Labels, name, component, labels) {
 			return c.Value, true
 		}
 	}
@@ -350,9 +341,8 @@ func (s *Snapshot) Counter(name, component string, labels ...Label) (uint64, boo
 
 // Gauge looks a frozen gauge value up by identity.
 func (s *Snapshot) Gauge(name, component string, labels ...Label) (int64, bool) {
-	want := GaugeVal{Name: name, Component: component, Labels: labels}
 	for _, g := range s.Gauges {
-		if gaugeKey(g) == gaugeKey(want) {
+		if sameID(g.Name, g.Component, g.Labels, name, component, labels) {
 			return g.Value, true
 		}
 	}
@@ -361,9 +351,8 @@ func (s *Snapshot) Gauge(name, component string, labels ...Label) (int64, bool) 
 
 // Histogram looks a frozen histogram up by identity.
 func (s *Snapshot) Histogram(name, component string, labels ...Label) (HistogramVal, bool) {
-	want := HistogramVal{Name: name, Component: component, Labels: labels}
 	for _, h := range s.Histograms {
-		if histKey(h) == histKey(want) {
+		if sameID(h.Name, h.Component, h.Labels, name, component, labels) {
 			return h, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tca/internal/fifo"
 	"tca/internal/sim"
 )
 
@@ -222,17 +223,17 @@ func (e Event) String() string {
 }
 
 // Recorder collects span events into a bounded ring, evicting the oldest
-// when full, and allocates transaction IDs. The nil recorder is a valid
-// disabled recorder: Record is a no-op and NextTxn returns 0, the "not
-// traced" transaction ID.
+// when full, and allocates transaction IDs. The ring grows on first use,
+// so a recorder holds event storage only for what it has recorded. The
+// nil recorder is a valid disabled recorder: Record is a no-op and NextTxn
+// returns 0, the "not traced" transaction ID.
 type Recorder struct {
-	mu      sync.Mutex
-	events  []Event
-	next    int
-	full    bool
-	total   uint64
-	evicted uint64
-	txn     uint64
+	mu       sync.Mutex
+	events   fifo.Queue[Event]
+	capacity int
+	total    uint64
+	evicted  uint64
+	txn      uint64
 	// mEvicted mirrors the eviction count into the metrics registry when
 	// the recorder is part of a Set, so snapshot exports surface ring
 	// truncation without consulting the recorder (nil when unattached).
@@ -244,7 +245,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("obsv: recorder capacity %d", capacity))
 	}
-	return &Recorder{events: make([]Event, capacity)}
+	return &Recorder{capacity: capacity}
 }
 
 // NextTxn allocates a fresh nonzero transaction ID, or 0 when disabled —
@@ -267,19 +268,15 @@ func (r *Recorder) Record(ev Event) {
 		return
 	}
 	r.mu.Lock()
-	if r.full {
-		// Overwriting the oldest retained event: count the eviction so
+	if r.events.Len() == r.capacity {
+		// Dropping the oldest retained event: count the eviction so
 		// breakdown consumers can tell a truncated span from a short one.
+		r.events.Pop()
 		r.evicted++
 		r.mEvicted.Inc()
 	}
-	r.events[r.next] = ev
-	r.next++
+	r.events.Push(ev)
 	r.total++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.full = true
-	}
 	r.mu.Unlock()
 }
 
@@ -311,10 +308,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.events)
-	}
-	return r.next
+	return r.events.Len()
 }
 
 // Total reports how many events were ever recorded.
@@ -334,12 +328,13 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.events[:r.next]...)
+	if r.events.Len() == 0 {
+		return nil
 	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
+	out := make([]Event, r.events.Len())
+	for i := range out {
+		out[i] = r.events.At(i)
+	}
 	return out
 }
 

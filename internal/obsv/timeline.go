@@ -7,6 +7,7 @@ import (
 	"sync"
 	"text/tabwriter"
 
+	"tca/internal/fifo"
 	"tca/internal/sim"
 )
 
@@ -19,8 +20,10 @@ type Sample struct {
 
 // Series is a bounded ring of time-ordered samples for one signal — a
 // link direction's utilization, a DMAC's busy fraction, a port's bytes per
-// interval. Old samples are evicted once the ring fills. The nil series is
-// a valid disabled series: appends and queries on it are no-ops.
+// interval. Old samples are evicted once the ring holds capacity samples.
+// The ring grows on first use, so a series that is never appended to holds
+// no sample storage. The nil series is a valid disabled series: appends
+// and queries on it are no-ops.
 type Series struct {
 	// Name is the signal kind ("link_util", "dma_busy", ...).
 	Name string
@@ -32,18 +35,16 @@ type Series struct {
 	// Unit names the value's unit ("%", "B", "tlps", "reads").
 	Unit string
 
-	mu      sync.Mutex
-	samples []Sample
-	next    int
-	full    bool
+	mu       sync.Mutex
+	samples  fifo.Queue[Sample]
+	capacity int
 }
 
 func newSeries(name, component, label, unit string, capacity int) *Series {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCap
 	}
-	return &Series{Name: name, Component: component, Label: label, Unit: unit,
-		samples: make([]Sample, 0, capacity)}
+	return &Series{Name: name, Component: component, Label: label, Unit: unit, capacity: capacity}
 }
 
 // NewSeries creates a standalone bounded series, for signals that are fed
@@ -80,13 +81,10 @@ func (s *Series) append(at sim.Time, v float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.full && len(s.samples) < cap(s.samples) {
-		s.samples = append(s.samples, Sample{At: at, V: v})
-		return
+	if s.samples.Len() == s.capacity {
+		s.samples.Pop()
 	}
-	s.full = true
-	s.samples[s.next] = Sample{At: at, V: v}
-	s.next = (s.next + 1) % len(s.samples)
+	s.samples.Push(Sample{At: at, V: v})
 }
 
 // Samples returns the retained samples oldest-first.
@@ -96,13 +94,9 @@ func (s *Series) Samples() []Sample {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Sample, 0, len(s.samples))
-	if s.full {
-		out = append(out, s.samples[s.next:]...)
-	}
-	out = append(out, s.samples[:s.next]...)
-	if !s.full {
-		out = append(out, s.samples...)
+	out := make([]Sample, s.samples.Len())
+	for i := range out {
+		out[i] = s.samples.At(i)
 	}
 	return out
 }
@@ -114,7 +108,7 @@ func (s *Series) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.samples)
+	return s.samples.Len()
 }
 
 // Last returns the most recent sample.
@@ -124,14 +118,11 @@ func (s *Series) Last() (Sample, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	n := s.samples.Len()
+	if n == 0 {
 		return Sample{}, false
 	}
-	i := len(s.samples) - 1
-	if s.full {
-		i = (s.next - 1 + len(s.samples)) % len(s.samples)
-	}
-	return s.samples[i], true
+	return s.samples.At(n - 1), true
 }
 
 // Max reports the largest sampled value (0 when empty).
@@ -142,9 +133,9 @@ func (s *Series) Max() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	max := 0.0
-	for _, sm := range s.samples {
-		if sm.V > max {
-			max = sm.V
+	for i := 0; i < s.samples.Len(); i++ {
+		if v := s.samples.At(i).V; v > max {
+			max = v
 		}
 	}
 	return max
@@ -157,14 +148,15 @@ func (s *Series) Mean() float64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.samples) == 0 {
+	n := s.samples.Len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, sm := range s.samples {
-		sum += sm.V
+	for i := 0; i < n; i++ {
+		sum += s.samples.At(i).V
 	}
-	return sum / float64(len(s.samples))
+	return sum / float64(n)
 }
 
 // ActiveMean reports the mean over the samples with a nonzero value — the
@@ -178,9 +170,9 @@ func (s *Series) ActiveMean() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum, n := 0.0, 0
-	for _, sm := range s.samples {
-		if sm.V != 0 {
-			sum += sm.V
+	for i := 0; i < s.samples.Len(); i++ {
+		if v := s.samples.At(i).V; v != 0 {
+			sum += v
 			n++
 		}
 	}
